@@ -17,6 +17,11 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> cargo bench --no-run (every bench target compiles)"
+# The guards below run only three of the bench targets; this keeps the
+# rest from rotting unnoticed.
+cargo bench --no-run --offline -p pi3d-bench
+
 echo "==> CLI smoke run with --metrics-out"
 report="$(mktemp /tmp/pi3d-report.XXXXXX.json)"
 cfg="$(mktemp /tmp/pi3d-design.XXXXXX.cfg)"
@@ -375,7 +380,7 @@ if command -v python3 > /dev/null 2>&1; then
     trap 'rm -f "$report" "$cfg" "$fault_report" "$dead_cfg" "$fault_err" "$trace_out" "$trace_err" "$solver_bench_out"; rm -rf "$jobdir" "$mg_dir"' EXIT
     BENCH_SOLVER_OUT="$solver_bench_out" BENCH_SOLVER_SAMPLES=3 \
         BENCH_SOLVER_MAX_GRID=80 \
-        cargo bench --offline -p pi3d-bench --features bench-ext \
+        cargo bench --offline -p pi3d-bench \
         --bench solver_scaling
     python3 - BENCH_solver.json "$solver_bench_out" <<'PY'
 import json, sys
@@ -424,7 +429,7 @@ if command -v python3 > /dev/null 2>&1; then
     trap 'rm -f "$report" "$cfg" "$fault_report" "$dead_cfg" "$fault_err" "$trace_out" "$trace_err" "$bench_out"; rm -rf "$jobdir"' EXIT
     BENCH_MEMSIM_OUT="$bench_out" BENCH_MEMSIM_SAMPLES=3 \
         BENCH_MEMSIM_SKIP_REFERENCE=1 \
-        cargo bench --offline -p pi3d-bench --features bench-ext \
+        cargo bench --offline -p pi3d-bench \
         --bench memsim_run
     python3 - BENCH_memsim.json "$bench_out" <<'PY'
 import json, sys
@@ -589,7 +594,7 @@ if command -v python3 > /dev/null 2>&1; then
     serve_bench_out="$(mktemp /tmp/pi3d-serve-bench.XXXXXX.json)"
     trap 'rm -f "$report" "$cfg" "$fault_report" "$dead_cfg" "$fault_err" "$trace_out" "$trace_err" "$serve_bench_out"; rm -rf "$jobdir" "$mg_dir" "$serve_dir"' EXIT
     BENCH_SERVE_OUT="$serve_bench_out" BENCH_SERVE_SAMPLES=5 \
-        cargo bench --offline -p pi3d-bench --features bench-ext \
+        cargo bench --offline -p pi3d-bench \
         --bench serve_throughput
     python3 - "$serve_bench_out" <<'PY'
 import json, sys

@@ -76,7 +76,6 @@
 
 mod serve_cmd;
 mod shard_cmd;
-#[cfg(feature = "telemetry")]
 mod trace_cmd;
 
 use pi3d_core::config;
@@ -157,67 +156,62 @@ impl Args {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse();
-    #[cfg(feature = "telemetry")]
     pi3d_telemetry::report::reset_run();
-    let _stage = args
+    let stage = args
         .positional
         .first()
         .cloned()
         .unwrap_or_else(|| "startup".to_owned());
 
-    let _started = Instant::now();
+    let started = Instant::now();
     let result = dispatch(&args);
 
     // The run report is written on *every* exit path — success, error,
     // cancellation, deadline — tagged with the failure stage and exit
     // code, so an interrupted campaign still leaves a valid partial
     // report next to its journal.
-    #[cfg(feature = "telemetry")]
-    {
-        pi3d_telemetry::report::record_experiment(
-            &_stage,
-            _started.elapsed().as_secs_f64(),
-            result.is_ok(),
-        );
-        let (exit_code, error) = match &result {
-            Ok(()) => (0u8, String::new()),
-            Err(e) => (exit_code_for(e.as_ref()), e.to_string()),
-        };
-        pi3d_telemetry::report::set_outcome(pi3d_telemetry::report::RunOutcome {
-            status: status_label(exit_code).to_owned(),
-            stage: _stage.clone(),
-            exit_code,
-            error,
-        });
-        if let Some(path) = args.flag("metrics-out") {
-            match pi3d_telemetry::RunReport::collect().write_json(Path::new(path)) {
-                Ok(()) => eprintln!("wrote run report to {path}"),
-                Err(e) if result.is_ok() => return Err(format!("cannot write {path}: {e}").into()),
-                // Don't let a report-write failure mask the run's error.
-                Err(e) => eprintln!("error: cannot write {path}: {e}"),
-            }
+    pi3d_telemetry::report::record_experiment(
+        &stage,
+        started.elapsed().as_secs_f64(),
+        result.is_ok(),
+    );
+    let (exit_code, error) = match &result {
+        Ok(()) => (0u8, String::new()),
+        Err(e) => (exit_code_for(e.as_ref()), e.to_string()),
+    };
+    pi3d_telemetry::report::set_outcome(pi3d_telemetry::report::RunOutcome {
+        status: status_label(exit_code).to_owned(),
+        stage,
+        exit_code,
+        error,
+    });
+    if let Some(path) = args.flag("metrics-out") {
+        match pi3d_telemetry::RunReport::collect().write_json(Path::new(path)) {
+            Ok(()) => eprintln!("wrote run report to {path}"),
+            Err(e) if result.is_ok() => return Err(format!("cannot write {path}: {e}").into()),
+            // Don't let a report-write failure mask the run's error.
+            Err(e) => eprintln!("error: cannot write {path}: {e}"),
         }
-        // Like the run report, the trace is written on every exit path, so
-        // an interrupted sweep still leaves a loadable timeline of the
-        // work it managed to do.
-        if let Some(path) = args.flag("trace-out") {
-            let snapshot = pi3d_telemetry::trace::drain();
-            match snapshot.write_chrome_json(Path::new(path)) {
-                Ok(()) => eprintln!(
-                    "wrote trace to {path} ({} events, {} dropped)",
-                    snapshot.total_events(),
-                    snapshot.total_dropped()
-                ),
-                Err(e) if result.is_ok() => return Err(format!("cannot write {path}: {e}").into()),
-                Err(e) => eprintln!("error: cannot write {path}: {e}"),
-            }
+    }
+    // Like the run report, the trace is written on every exit path, so
+    // an interrupted sweep still leaves a loadable timeline of the
+    // work it managed to do.
+    if let Some(path) = args.flag("trace-out") {
+        let snapshot = pi3d_telemetry::trace::drain();
+        match snapshot.write_chrome_json(Path::new(path)) {
+            Ok(()) => eprintln!(
+                "wrote trace to {path} ({} events, {} dropped)",
+                snapshot.total_events(),
+                snapshot.total_dropped()
+            ),
+            Err(e) if result.is_ok() => return Err(format!("cannot write {path}: {e}").into()),
+            Err(e) => eprintln!("error: cannot write {path}: {e}"),
         }
     }
     result
 }
 
 fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    #[cfg(feature = "telemetry")]
     if let Some(level) = args.flag("log-level") {
         let parsed: pi3d_telemetry::Level =
             level.parse().map_err(|e| format!("bad --log-level: {e}"))?;
@@ -225,32 +219,27 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     // Flight-recorder tracing and the sweep progress heartbeat are armed
     // before any work runs so the very first phase span is captured.
-    #[cfg(feature = "telemetry")]
-    {
-        if args.has("trace-out") {
-            if args.flag("trace-out").is_none() {
-                return Err("--trace-out needs a file path".into());
-            }
-            if let Some(cap) = args.flag("trace-capacity") {
-                let n: usize = cap
-                    .parse()
-                    .map_err(|_| format!("--trace-capacity must be an integer, got {cap}"))?;
-                pi3d_telemetry::trace::set_capacity(n);
-            }
-            pi3d_telemetry::trace::set_enabled(true);
+    if args.has("trace-out") {
+        if args.flag("trace-out").is_none() {
+            return Err("--trace-out needs a file path".into());
         }
-        if args.has("progress") {
-            let mode = match args.flag("progress") {
-                None => pi3d_telemetry::progress::ProgressMode::Human,
-                Some("json") => pi3d_telemetry::progress::ProgressMode::JsonLines,
-                Some(other) => {
-                    return Err(
-                        format!("--progress takes no value or \"json\", got {other:?}").into(),
-                    )
-                }
-            };
-            pi3d_telemetry::progress::set_mode(mode);
+        if let Some(cap) = args.flag("trace-capacity") {
+            let n: usize = cap
+                .parse()
+                .map_err(|_| format!("--trace-capacity must be an integer, got {cap}"))?;
+            pi3d_telemetry::trace::set_capacity(n);
         }
+        pi3d_telemetry::trace::set_enabled(true);
+    }
+    if args.has("progress") {
+        let mode = match args.flag("progress") {
+            None => pi3d_telemetry::progress::ProgressMode::Human,
+            Some("json") => pi3d_telemetry::progress::ProgressMode::JsonLines,
+            Some(other) => {
+                return Err(format!("--progress takes no value or \"json\", got {other:?}").into())
+            }
+        };
+        pi3d_telemetry::progress::set_mode(mode);
     }
     // Ctrl-C and SIGTERM request a cooperative stop (long loops flush
     // their journal and return typed Cancelled errors; the latched
@@ -267,7 +256,6 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     // One top-level slice per invocation so every lower-layer span has a
     // parent in the trace timeline.
-    #[cfg(feature = "telemetry")]
     let _cmd_slice = pi3d_telemetry::trace::span_with("cli", || format!("cmd:{command}"));
 
     // Solver-heavy commands prime the parallel-SpMV cutover from the
@@ -293,7 +281,6 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "serve" => serve_cmd::serve_command(args),
         "call" => serve_cmd::call_command(args),
         "merge-journals" => shard_cmd::merge_journals_command(args),
-        #[cfg(feature = "telemetry")]
         "trace" => trace_cmd::trace_command(args),
         "help" | "--help" => {
             print_usage();

@@ -568,7 +568,6 @@ pub fn run_fault_sweep_with(
     options: &FaultSweepOptions,
     ctx: &JobContext,
 ) -> Result<FaultSweepReport, CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("fault_sweep");
     options.base.validate()?;
 
@@ -621,7 +620,6 @@ pub fn run_fault_sweep_with(
         })
         .collect();
 
-    #[cfg(feature = "telemetry")]
     for l in &levels {
         pi3d_telemetry::report::record_fault_sweep(pi3d_telemetry::report::FaultSweepRecord {
             label: design.benchmark().to_string(),
@@ -691,7 +689,6 @@ pub fn run_fault_sweep_shard(
     options: &FaultSweepOptions,
     ctx: &JobContext,
 ) -> Result<(usize, usize), CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("fault_sweep_shard");
     options.base.validate()?;
     let mut descriptors = Vec::with_capacity(options.levels.len() * options.trials);

@@ -252,7 +252,6 @@ impl Journal {
             None => ("", text),
         };
         if !fragment.is_empty() {
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::counter("jobs.torn_tail_dropped").incr(1);
         }
         let mut lines = complete.lines();
@@ -816,11 +815,9 @@ where
         }
         slots[unit] = Some(decoded);
     }
-    #[cfg(feature = "telemetry")]
     if resumed > 0 {
         pi3d_telemetry::metrics::counter("jobs.resumed_units").incr(resumed);
     }
-    let _ = resumed;
 
     let scope_count = (0..items.len()).filter(|&u| in_scope(u)).count();
     // Deferred (crash-suspect) units run serially *after* the parallel
@@ -835,13 +832,11 @@ where
     let deadline_hit = AtomicBool::new(false);
     let journal_ref = journal.as_ref();
     let attempts_ref = attempts.as_ref();
-    #[cfg(feature = "telemetry")]
     let progress = pi3d_telemetry::progress::start(
         kind,
         scope_count,
         scope_count - pending.len() - deferred.len(),
     );
-    #[cfg(feature = "telemetry")]
     let unit_hist = pi3d_telemetry::metrics::histogram(&format!("jobs.{kind}.unit_ms"));
     let run_unit = |unit: usize| -> Result<Option<R>, CoreError> {
         if ctx.is_cancelled() {
@@ -854,9 +849,7 @@ where
         }
         // One trace slice per work unit, so a sweep renders as a
         // per-worker timeline of `kind[unit]` slices in the trace view.
-        #[cfg(feature = "telemetry")]
         let _unit_slice = pi3d_telemetry::trace::span_with("jobs", || format!("{kind}[{unit}]"));
-        #[cfg(feature = "telemetry")]
         let unit_started = Instant::now();
         if let Some(attempts) = attempts_ref {
             attempts.record(unit)?;
@@ -867,15 +860,11 @@ where
         );
         let result = compute(unit, &items[unit])?;
         if let Some(journal) = journal_ref {
-            #[cfg(feature = "telemetry")]
             let _journal_slice = pi3d_telemetry::trace::span("jobs", "journal_append");
             journal.append(unit, config_hash, encode(unit, &result))?;
         }
-        #[cfg(feature = "telemetry")]
-        {
-            unit_hist.record(unit_started.elapsed().as_millis() as u64);
-            progress.unit_done();
-        }
+        unit_hist.record(unit_started.elapsed().as_millis() as u64);
+        progress.unit_done();
         Ok(Some(result))
     };
     let mut results =
@@ -885,7 +874,6 @@ where
         1,
         |_, &unit| run_unit(unit),
     ));
-    #[cfg(feature = "telemetry")]
     drop(progress);
 
     let mut first_error: Option<CoreError> = None;
@@ -924,7 +912,6 @@ where
         return Err(CoreError::WorkerPanic { unit, message });
     }
     if cancelled.load(Ordering::Relaxed) {
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("jobs.sweeps_cancelled").incr(1);
         return Err(CoreError::Cancelled {
             completed,
@@ -932,7 +919,6 @@ where
         });
     }
     if deadline_hit.load(Ordering::Relaxed) {
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("jobs.sweeps_deadline_exceeded").incr(1);
         return Err(CoreError::DeadlineExceeded {
             completed,

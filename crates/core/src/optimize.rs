@@ -152,7 +152,6 @@ pub fn characterize_with(
     threads: usize,
     ctx: &JobContext,
 ) -> Result<Characterization, CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("characterize");
     let space = DesignSpace::new(benchmark);
     let state = space.default_state();
@@ -224,7 +223,6 @@ pub fn characterize_shard(
     threads: usize,
     ctx: &JobContext,
 ) -> Result<(usize, usize), CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("characterize_shard");
     let space = DesignSpace::new(benchmark);
     let state = space.default_state();

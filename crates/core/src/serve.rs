@@ -305,7 +305,6 @@ impl<T> RequestQueue<T> {
             return Err(item);
         }
         inner.items.push_back(item);
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::gauge("serve.queue.depth").set(inner.items.len() as f64);
         drop(inner);
         self.cv.notify_one();
@@ -319,7 +318,6 @@ impl<T> RequestQueue<T> {
         let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::gauge("serve.queue.depth").set(inner.items.len() as f64);
                 return Some(item);
             }
@@ -432,13 +430,10 @@ impl<T: Send + 'static> WorkerPool<T> {
                 // Surface the panic payload (if any) and drop the
                 // corpse; join on a finished thread cannot block.
                 if let Err(panic) = worker.join() {
-                    #[cfg(feature = "telemetry")]
                     pi3d_telemetry::warn!(
                         "serve worker panicked: {}",
                         panic_message(panic.as_ref())
                     );
-                    #[cfg(not(feature = "telemetry"))]
-                    drop(panic);
                 }
             } else {
                 live.push(worker);
@@ -451,7 +446,6 @@ impl<T: Send + 'static> WorkerPool<T> {
             respawned += 1;
         }
         self.respawned += respawned as u64;
-        #[cfg(feature = "telemetry")]
         if respawned > 0 {
             pi3d_telemetry::metrics::counter("serve.workers.respawned").incr(respawned as u64);
         }
@@ -684,7 +678,6 @@ impl Breaker {
         let now = Instant::now();
         if now < open_until {
             self.short_circuits.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::counter("serve.breaker.short_circuits").incr(1);
             let retry_ms = open_until.saturating_duration_since(now).as_millis();
             return Err(Fail::bad_request(
@@ -726,7 +719,6 @@ impl Breaker {
         if entry.consecutive_failures >= self.threshold && entry.open_until.is_none() {
             entry.open_until = Some(Instant::now() + self.cooldown);
             self.opens.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::counter("serve.breaker.opens").incr(1);
         }
         self.tracked.store(entries.len(), Ordering::Release);
@@ -850,7 +842,6 @@ impl ServeCache {
                 let value = entry.value.clone();
                 state.entries.push(entry); // most recently used
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::counter("serve.cache.hits").incr(1);
                 return Ok(value);
             }
@@ -867,10 +858,8 @@ impl ServeCache {
         drop(state);
 
         self.misses.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("serve.cache.misses").incr(1);
         let built = {
-            #[cfg(feature = "telemetry")]
             let _slice = pi3d_telemetry::trace::span_with("serve", || "serve:cache_build".into());
             build()
         };
@@ -894,10 +883,8 @@ impl ServeCache {
                     let evicted = state.entries.remove(0);
                     state.bytes -= evicted.bytes;
                     self.evictions.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(feature = "telemetry")]
                     pi3d_telemetry::metrics::counter("serve.cache.evictions").incr(1);
                 }
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::gauge("serve.cache.bytes").set(state.bytes as f64);
                 Ok(value)
             }
@@ -1105,9 +1092,7 @@ impl ServeState {
             .and_then(Json::as_str)
             .unwrap_or("")
             .to_owned();
-        #[cfg(feature = "telemetry")]
         let _slice = pi3d_telemetry::trace::span_with("serve", || "serve:request".into());
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("serve.requests").incr(1);
 
         // Shared state is unwind-safe by construction: every mutex in
@@ -1120,7 +1105,6 @@ impl ServeState {
             Ok(result) => result,
             Err(panic) => {
                 self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::counter("serve.panics_caught").incr(1);
                 (
                     "panic",
@@ -1208,7 +1192,6 @@ impl ServeState {
         self.last_queue_depth.store(depth, Ordering::Relaxed);
         if depth >= self.options.shed_high_watermark.max(1) {
             if !self.shedding.swap(true, Ordering::AcqRel) {
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::warn!(
                     "serve: queue depth {depth} crossed high watermark, shedding load"
                 );
@@ -1242,7 +1225,6 @@ impl ServeState {
     /// `retry_after_ms` hint clients feed into their backoff.
     pub fn shed_response(&self, request: &Json) -> Json {
         self.shed_count.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("serve.shed").incr(1);
         let retry_ms = self.options.shed_retry_after.as_millis() as f64;
         let id = request.get("id").cloned().unwrap_or(Json::Null);

@@ -237,7 +237,6 @@ pub fn reclaim_stale_lease(path: &Path) -> Result<bool, CoreError> {
     }
     std::fs::remove_file(path)
         .map_err(|e| shard_error(format!("cannot reclaim lease {}: {e}", path.display())))?;
-    #[cfg(feature = "telemetry")]
     pi3d_telemetry::metrics::counter("shard.leases.reclaimed").incr(1);
     Ok(true)
 }
@@ -700,7 +699,6 @@ struct ShardSlot {
     respawns: u32,
     defer: Vec<usize>,
     done: bool,
-    #[cfg(feature = "telemetry")]
     span: Option<pi3d_telemetry::trace::TraceSpan>,
 }
 
@@ -751,7 +749,6 @@ fn fan_out_signal(slots: &mut [ShardSlot], sig: i32) {
     for slot in slots.iter_mut() {
         if let Some(mut child) = slot.child.take() {
             let _ = child.wait();
-            #[cfg(feature = "telemetry")]
             drop(slot.span.take());
         }
     }
@@ -784,7 +781,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
     if opts.shards == 0 {
         return Err(shard_error("shard count must be at least 1"));
     }
-    #[cfg(feature = "telemetry")]
     let _sup_span = pi3d_telemetry::trace::span_with("shard", || {
         format!("supervise[{}x{}]", opts.shards, opts.kind)
     });
@@ -805,7 +801,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
             respawns: 0,
             defer: Vec::new(),
             done: false,
-            #[cfg(feature = "telemetry")]
             span: None,
         })
         .collect();
@@ -829,7 +824,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
         }
 
         let mut alive = 0usize;
-        #[cfg(feature = "telemetry")]
         let mut max_heartbeat_age = Duration::ZERO;
         for index in 0..slots.len() {
             if slots[index].done {
@@ -847,13 +841,10 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
                 let child = spawn_worker(opts, index, &slots[index], &quarantined)?;
                 slots[index].child_pid = child.id();
                 slots[index].spawned_at = Instant::now();
-                #[cfg(feature = "telemetry")]
-                {
-                    let generation = slots[index].respawns;
-                    slots[index].span = Some(pi3d_telemetry::trace::span_with("shard", || {
-                        format!("worker{index}.gen{generation}")
-                    }));
-                }
+                let generation = slots[index].respawns;
+                slots[index].span = Some(pi3d_telemetry::trace::span_with("shard", || {
+                    format!("worker{index}.gen{generation}")
+                }));
                 slots[index].child = Some(child);
             }
 
@@ -870,10 +861,7 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
                     // has a lease but stopped refreshing it is wedged.
                     let age = lease_age(&lease_path(&slots[index].journal))
                         .unwrap_or_else(|| slots[index].spawned_at.elapsed());
-                    #[cfg(feature = "telemetry")]
-                    {
-                        max_heartbeat_age = max_heartbeat_age.max(age);
-                    }
+                    max_heartbeat_age = max_heartbeat_age.max(age);
                     if age > opts.heartbeat_timeout {
                         let child = slots[index].child.as_mut().expect("checked above");
                         let _ = child.kill();
@@ -889,7 +877,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
             };
 
             slots[index].child = None;
-            #[cfg(feature = "telemetry")]
             drop(slots[index].span.take());
 
             match status.code() {
@@ -945,7 +932,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
                     };
                     append_quarantine(&quarantine_file, &record)?;
                     quarantined.push(record);
-                    #[cfg(feature = "telemetry")]
                     pi3d_telemetry::metrics::counter("shard.units.quarantined").incr(1);
                 } else {
                     defer.push(unit);
@@ -954,7 +940,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
             slots[index].defer = defer;
             slots[index].respawns += 1;
             total_respawns += 1;
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::counter("shard.workers.respawned").incr(1);
             if slots[index].respawns > opts.max_respawns_per_shard {
                 fan_out_signal(&mut slots, SIGTERM);
@@ -974,13 +959,9 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
             );
         }
 
-        #[cfg(feature = "telemetry")]
-        {
-            pi3d_telemetry::metrics::gauge("shard.workers.alive").set(alive as f64);
-            pi3d_telemetry::metrics::gauge("shard.heartbeat.age_ms")
-                .set(max_heartbeat_age.as_millis() as f64);
-        }
-        let _ = alive;
+        pi3d_telemetry::metrics::gauge("shard.workers.alive").set(alive as f64);
+        pi3d_telemetry::metrics::gauge("shard.heartbeat.age_ms")
+            .set(max_heartbeat_age.as_millis() as f64);
 
         if slots.iter().all(|s| s.done) {
             break;

@@ -266,15 +266,12 @@ impl CsrMatrix {
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(y.len(), self.dim);
-        #[cfg(feature = "telemetry")]
-        {
-            // One relaxed atomic add per spmv; negligible next to the
-            // O(nnz) loop below.
-            static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv"))
-                .incr(1);
-        }
+        // One relaxed atomic add per spmv; negligible next to the
+        // O(nnz) loop below.
+        static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
+            std::sync::OnceLock::new();
+        SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv"))
+            .incr(1);
         self.mul_rows_into(x, y, 0);
     }
 
@@ -318,14 +315,11 @@ impl CsrMatrix {
         }
         assert_eq!(x.len(), self.dim);
         assert_eq!(y.len(), self.dim);
-        #[cfg(feature = "telemetry")]
-        {
-            static SPMV_PAR: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            SPMV_PAR
-                .get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv_parallel"))
-                .incr(1);
-        }
+        static SPMV_PAR: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
+            std::sync::OnceLock::new();
+        SPMV_PAR
+            .get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv_parallel"))
+            .incr(1);
         let rows_per_chunk = self.dim.div_ceil(threads);
         std::thread::scope(|scope| {
             for (chunk_idx, y_chunk) in y.chunks_mut(rows_per_chunk).enumerate() {

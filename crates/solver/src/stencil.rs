@@ -363,13 +363,10 @@ impl Operator for StencilOperator {
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(y.len(), self.dim);
-        #[cfg(feature = "telemetry")]
-        {
-            static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv"))
-                .incr(1);
-        }
+        static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
+            std::sync::OnceLock::new();
+        SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv"))
+            .incr(1);
         self.apply_rows_into(x, y, 0);
     }
 
@@ -387,14 +384,11 @@ impl Operator for StencilOperator {
         }
         assert_eq!(x.len(), self.dim);
         assert_eq!(y.len(), self.dim);
-        #[cfg(feature = "telemetry")]
-        {
-            static SPMV_PAR: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            SPMV_PAR
-                .get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv_parallel"))
-                .incr(1);
-        }
+        static SPMV_PAR: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
+            std::sync::OnceLock::new();
+        SPMV_PAR
+            .get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv_parallel"))
+            .incr(1);
         let rows_per_chunk = self.dim.div_ceil(threads);
         std::thread::scope(|scope| {
             for (chunk_idx, y_chunk) in y.chunks_mut(rows_per_chunk).enumerate() {
